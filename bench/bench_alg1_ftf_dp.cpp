@@ -3,7 +3,6 @@
 // in K and p.  We measure states stored and wall time on both axes, and
 // re-verify exactness against the simulator-driven exhaustive search.
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "core/rng.hpp"
@@ -100,79 +99,6 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
                      packed_ms <= 0.0 ? 0.0 : ref_ms / packed_ms);
   }
 
-  // Bucket-synchronous parallel expansion: schedules are bit-identical at
-  // any worker count, so the series re-checks the invariants and reports
-  // the projected capacity at W dedicated workers — states / (serial_ns +
-  // expand_busy_ns / W), with serial_ns the solve wall minus the parallel
-  // expansion/dedup passes and expand_busy_ns their summed thread CPU time
-  // (the capacity_rps convention; the wall clock itself cannot show the
-  // speedup on a small or oversubscribed machine).  Every row projects the
-  // same measured split at that row's W — busy is CPU time, so the split
-  // does not depend on the executing worker count — making the w=1 row the
-  // engine's own single-worker projection, the Amdahl denominator of
-  // speedup8.  The w=1 wall columns show the serial reference path for
-  // scale.
-  auto& par_table = b.series(
-      "ftf_parallel_speedup",
-      "Chunked-wave expansion (3 cores, 20 req/core, 5 pages/core, K=5, "
-      "tau=2):",
-      {"workers", "ms", "kstates/s", "capacity_kst/s", "speedup"});
-  bool parallel_agrees = true;
-  double speedup8 = 0.0;
-  {
-    const OfflineInstance inst = random_instance(3, 5, 20, 5, 2, 78);
-    FtfOptions options;
-    options.engine = OfflineEngine::kPacked;
-    options.workers = 1;
-    const auto s0 = std::chrono::steady_clock::now();
-    const FtfResult serial = solve_ftf(inst, options);
-    const auto s1 = std::chrono::steady_clock::now();
-    const double serial_wall_ns =
-        std::chrono::duration<double, std::nano>(s1 - s0).count();
-    double split_serial_ns = 0.0;
-    double split_busy_ns = 0.0;
-    std::array<double, 4> wall_by_row{serial_wall_ns, 0.0, 0.0, 0.0};
-    for (std::size_t row = 1; row < 4; ++row) {
-      const std::size_t w = std::size_t{1} << row;
-      options.workers = w;
-      const auto start = std::chrono::steady_clock::now();
-      const FtfResult result = solve_ftf(inst, options);
-      const auto stop = std::chrono::steady_clock::now();
-      const double wall_ns =
-          std::chrono::duration<double, std::nano>(stop - start).count();
-      wall_by_row[row] = wall_ns;
-      parallel_agrees = parallel_agrees &&
-                        result.min_faults == serial.min_faults &&
-                        result.states_expanded == serial.states_expanded &&
-                        result.states_stored == serial.states_stored;
-      // Every chunked run measures the same underlying split; scheduler
-      // noise only inflates either side, so keep the smallest estimates.
-      const double run_serial_ns =
-          wall_ns - static_cast<double>(result.expand_wall_ns);
-      if (split_serial_ns == 0.0 || run_serial_ns < split_serial_ns) {
-        split_serial_ns = run_serial_ns;
-      }
-      const double run_busy_ns = static_cast<double>(result.expand_busy_ns);
-      if (split_busy_ns == 0.0 || run_busy_ns < split_busy_ns) {
-        split_busy_ns = run_busy_ns;
-      }
-    }
-    const auto capacity = [&](std::size_t w) {
-      const double projected_ns =
-          split_serial_ns + split_busy_ns / static_cast<double>(w);
-      return kstates_per_sec(serial.states_stored, projected_ns / 1e6);
-    };
-    for (std::size_t row = 0; row < 4; ++row) {
-      const std::size_t w = std::size_t{1} << row;
-      const double speedup = capacity(w) / capacity(1);
-      if (w == 8) speedup8 = speedup;
-      par_table.row(static_cast<std::uint64_t>(w), wall_by_row[row] / 1e6,
-                    kstates_per_sec(serial.states_stored,
-                                    wall_by_row[row] / 1e6),
-                    capacity(w), speedup);
-    }
-  }
-
   // Out-of-core storage: rerun an instance under a RAM budget of a quarter
   // of its state-arena footprint (the spillable quantity — side arrays
   // never spill) and check the spilled solve stays bit-equal while
@@ -186,7 +112,6 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
     const OfflineInstance inst = random_instance(2, 5, n, 4, 2, 78);
     FtfOptions clean_options;
     clean_options.engine = OfflineEngine::kPacked;
-    clean_options.workers = 1;
     const FtfResult clean = solve_ftf(inst, clean_options);
     FtfOptions budget_options = clean_options;
     budget_options.expected_states = clean.states_stored;
@@ -228,14 +153,9 @@ lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   // noise).  Exponential-ish in K: strictly increasing states.
   const bool poly_n = per_n2.back() < 4.0 * per_n2.front();
   const bool grows_k = states_by_k.back() > 4 * states_by_k.front();
-  // The 8-worker capacity projection must clear the same 3x floor the
-  // perf-smoke --speedup gate enforces on BENCH_OFFLINE.json.
-  const bool parallel_ok = parallel_agrees && speedup8 >= 3.0;
   return std::move(b).finish(
-      poly_n && grows_k && exact && engines_agree && parallel_ok &&
-          spill_agrees,
+      poly_n && grows_k && exact && engines_agree && spill_agrees,
       "poly-in-n, exponential-in-K scaling; exact optimum; engines agree; "
-      "parallel waves bit-equal with >=3x projected capacity at 8 workers; "
       "quarter-budget spill bit-equal");
 }
 
@@ -249,8 +169,8 @@ void mcp::experiments::register_e8(lab::ExperimentRegistry& registry) {
       "(== exhaustive search)",
       "EXPERIMENTS.md §E8; paper Theorem 6 / Algorithm 1",
       {"theorem", "offline", "solver", "scaling"},
-      "n in {8..128} at K=2; K in {2..5} at n=16; workers in {1..8}; "
-      "quarter-budget spill reruns; 10 exactness trials",
+      "n in {8..128} at K=2; K in {2..5} at n=16; quarter-budget spill "
+      "reruns; 10 exactness trials",
       run,
   });
 }

@@ -36,10 +36,9 @@ double solve_ms(const PifInstance& inst, const PifOptions& options,
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-lab::ExperimentResult run(const lab::RunContext& ctx) {
+lab::ExperimentResult run(const lab::RunContext& /*ctx*/) {
   lab::ResultBuilder b;
-  PifOptions packed_opts;
-  packed_opts.workers = ctx.workers;
+  const PifOptions packed_opts{};
 
   auto& deadline_table = b.series(
       "width_vs_deadline",
@@ -59,11 +58,10 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
         ms <= 0.0 ? 0.0 : static_cast<double>(result.states_expanded) / ms);
   }
 
-  // Packed layer-parallel vs reference serial engine, and the determinism
-  // contract: bit-identical witnesses at any worker count.
+  // Packed vs reference engine: same decisions, states/sec ratio.
   auto& engine_table = b.series(
       "engine_speedup",
-      "Packed (interned bitsets, layer-parallel) vs reference (serial):",
+      "Packed (interned bitsets, flat fronts) vs reference (unordered_map):",
       {"deadline", "ref_ms", "packed_ms", "ref_kst/s", "packed_kst/s",
        "speedup"});
   bool engines_agree = true;
@@ -86,24 +84,6 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
                      rate(ref.states_expanded, ref_ms),
                      rate(packed.states_expanded, packed_ms),
                      packed_ms <= 0.0 ? 0.0 : ref_ms / packed_ms);
-  }
-
-  bool deterministic = true;
-  {
-    PifInstance inst = random_pif(48, 48, 12, 33);
-    PifOptions base;
-    base.build_schedule = true;
-    base.workers = 1;
-    const PifResult serial = solve_pif(inst, base);
-    for (std::size_t workers : {2u, 8u}) {
-      base.workers = workers;
-      const PifResult parallel = solve_pif(inst, base);
-      deterministic = deterministic && parallel.feasible == serial.feasible &&
-                      parallel.schedule == serial.schedule &&
-                      parallel.peak_layer_width == serial.peak_layer_width;
-    }
-    b.notef("Worker determinism (workers 1/2/8): %s",
-            deterministic ? "bit-identical" : "MISMATCH");
   }
 
   auto& bounds_table =
@@ -136,9 +116,8 @@ lab::ExperimentResult run(const lab::RunContext& ctx) {
   const double growth = static_cast<double>(widths.back()) /
                         static_cast<double>(widths.front());
   return std::move(b).finish(
-      agreements == total && growth < 256.0 && engines_agree && deterministic,
-      "decisions exact; layer width stays polynomial; engines agree; "
-      "worker-count independent");
+      agreements == total && growth < 256.0 && engines_agree,
+      "decisions exact; layer width stays polynomial; engines agree");
 }
 
 }  // namespace

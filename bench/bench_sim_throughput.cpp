@@ -6,8 +6,6 @@
 // pass --benchmark_format=json to capture the counters machine-readably).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "core/batch_state.hpp"
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
@@ -122,7 +120,6 @@ void BM_FtfSolver(benchmark::State& state, OfflineEngine engine) {
   inst.tau = 2;
   FtfOptions options;
   options.engine = engine;
-  options.workers = 1;  // serial path: comparable to pre-parallel baselines
   std::size_t states = 0;
   for (auto _ : state) {
     const FtfResult result = solve_ftf(inst, options);
@@ -135,60 +132,6 @@ void BM_FtfSolver(benchmark::State& state, OfflineEngine engine) {
   }
   state.counters["states_per_sec"] = benchmark::Counter(
       static_cast<double>(states), benchmark::Counter::kIsRate);
-}
-
-void BM_FtfSolverParallel(benchmark::State& state) {
-  // Bucket-synchronous parallel FTF expansion, projected at W workers
-  // (Arg).  The wall clock cannot show the parallel speedup on an
-  // oversubscribed or small machine, so the gated counter is
-  // capacity_states_per_sec — the solve rate projected at W dedicated
-  // workers, states / (serial_ns + expand_busy_ns / W), the same
-  // oversubscription-immune convention as mcpd's capacity_rps.  Every Arg
-  // runs the *same* instrumented chunked solve (workers = 8) and projects
-  // its measured split at Arg workers: serial_ns is the solve wall minus
-  // the parallel expansion/dedup passes, expand_busy_ns sums those passes'
-  // thread CPU time (worker-count independent), so Arg(1) is the chunked
-  // engine's own single-worker projection — the Amdahl denominator.  The
-  // perf-smoke job gates parallel/8 capacity >= 3x parallel/1 within the
-  // same run, so the gate is immune to machine-speed drift.  (The serial
-  // reference path is benchmarked separately as BM_FtfSolver.)
-  const std::size_t workers = static_cast<std::size_t>(state.range(0));
-  CoreWorkload core;
-  core.pattern = AccessPattern::kUniform;
-  core.num_pages = 5;
-  core.length = 20;
-  OfflineInstance inst;
-  inst.requests = make_workload(homogeneous_spec(3, core, true, 78));
-  inst.cache_size = 5;
-  inst.tau = 2;
-  FtfOptions options;
-  options.engine = OfflineEngine::kPacked;
-  options.workers = 8;
-  std::size_t states = 0;
-  std::uint64_t wall_ns = 0;
-  std::uint64_t expand_wall_ns = 0;
-  std::uint64_t busy_ns = 0;
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const FtfResult result = solve_ftf(inst, options);
-    const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(result.min_faults);
-    states += result.states_stored;
-    wall_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-            .count());
-    expand_wall_ns += result.expand_wall_ns;
-    busy_ns += result.expand_busy_ns;
-  }
-  const double serial_ns =
-      static_cast<double>(wall_ns) - static_cast<double>(expand_wall_ns);
-  const double projected_ns =
-      serial_ns + static_cast<double>(busy_ns) / static_cast<double>(workers);
-  state.counters["states_per_sec"] = benchmark::Counter(
-      static_cast<double>(states), benchmark::Counter::kIsRate);
-  state.counters["capacity_states_per_sec"] =
-      projected_ns > 0.0 ? static_cast<double>(states) * 1e9 / projected_ns
-                         : 0.0;
 }
 
 void BM_PifSolver(benchmark::State& state, OfflineEngine engine) {
@@ -382,10 +325,6 @@ BENCHMARK_CAPTURE(BM_FtfSolver, packed, mcp::OfflineEngine::kPacked)
     ->Arg(24)->Arg(40)->Arg(48);
 BENCHMARK_CAPTURE(BM_FtfSolver, reference, mcp::OfflineEngine::kReference)
     ->Arg(24)->Arg(40)->Arg(48);
-// Arg = worker count for the projected-capacity pair (48 requests/core
-// instance, same family as above): the perf-smoke --speedup gate requires
-// parallel/8 capacity_states_per_sec >= 3x parallel/1.
-BENCHMARK(BM_FtfSolverParallel)->Arg(1)->Arg(8);
 // Arg = deadline; matches E9's engine_speedup series.
 BENCHMARK_CAPTURE(BM_PifSolver, packed, mcp::OfflineEngine::kPacked)
     ->Arg(32)->Arg(64)->Arg(128);

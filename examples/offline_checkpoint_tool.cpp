@@ -59,7 +59,6 @@ int usage(const char* argv0) {
       << "  --every N            checkpoint every N settled buckets (def 1)\n"
       << "  --resume             resume from --checkpoint instead of fresh\n"
       << "  --kill-after N       raise SIGKILL after the Nth checkpoint\n"
-      << "  --workers N          expansion worker cap (default 1 = serial)\n"
       << "  --ram-budget BYTES   interner spill budget (0 = unbounded)\n"
       << "  --segment-bytes B    spill segment granularity\n"
       << "  --schedule-out FILE  write the eviction schedule, one per line\n";
@@ -71,7 +70,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   FtfOptions options;
   options.build_schedule = true;
-  options.workers = 1;
   std::string schedule_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -92,8 +90,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--kill-after") {
       options.checkpoint.halt_after_checkpoints =
           static_cast<std::uint32_t>(std::stoul(value()));
-    } else if (arg == "--workers") {
-      options.workers = std::stoul(value());
     } else if (arg == "--ram-budget") {
       options.storage.ram_bytes = std::stoul(value());
     } else if (arg == "--segment-bytes") {

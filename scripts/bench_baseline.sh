@@ -28,7 +28,7 @@ OFFLINE_OUT=${2:-bench/baseline/BENCH_OFFLINE.json}
 MCPD_OUT=${3:-bench/baseline/BENCH_MCPD.json}
 BUILD=${BUILD_DIR:-build-bench}
 FILTER=${BENCH_FILTER:-'BM_SharedPolicy/lru/4$|BM_LruFaultCurve/64$|BM_PartitionSweep/0$|BM_BatchSweep/(1|64)$|BM_McpdIngest/(1|4)$'}
-OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(packed|reference)/(24|40|48)$|BM_FtfSolverParallel/(1|8)$|BM_PifSolver/(packed|reference)/(32|64|128)$'}
+OFFLINE_FILTER=${OFFLINE_FILTER:-'BM_FtfSolver/(packed|reference)/(24|40|48)$|BM_PifSolver/(packed|reference)/(32|64|128)$'}
 LOADGEN_ARGS=${LOADGEN_ARGS:---shards=1,2,4,8 --tenants=64 --producers=2 --repetitions=5 --homogeneous}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release \
@@ -38,15 +38,6 @@ cmake --build "$BUILD" --target bench_sim_throughput mcpd-loadgen \
 
 mkdir -p "$(dirname "$OUT")" "$(dirname "$OFFLINE_OUT")" "$(dirname "$MCPD_OUT")"
 
-# Snapshot the outgoing baselines as *.before.json so a regeneration always
-# leaves the previous medians next to the new ones for review (diffing the
-# two is how an intentional perf change is documented in the PR).
-for existing in "$OUT" "$OFFLINE_OUT" "$MCPD_OUT"; do
-  if [ -f "$existing" ]; then
-    cp "$existing" "${existing%.json}.before.json"
-    echo "snapshotted ${existing%.json}.before.json"
-  fi
-done
 "$BUILD"/bench/bench_sim_throughput \
   --benchmark_filter="$FILTER" \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \

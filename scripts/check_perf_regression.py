@@ -44,11 +44,8 @@ CONTEXT_COUNTERS = (
     "cells_per_sec",
     "lane_steps_per_sec",
     "states_per_sec",
-    # Offline solver storage/parallel counters (BENCH_OFFLINE.json): the
-    # projected W-worker solve rate (states / (serial_ns + busy_ns / W))
-    # gated by the perf-smoke --speedup pair, and the interner's peak
-    # resident bytes per stored state.
-    "capacity_states_per_sec",
+    # Offline solver storage counter (BENCH_OFFLINE.json): the interner's
+    # peak resident bytes per stored state.
     "bytes_per_state",
     # Service layer (BM_McpdIngest and the mcpd-loadgen BENCH_MCPD.json):
     # daemon ingest pairs/sec, loadgen wall throughput, aggregate per-shard

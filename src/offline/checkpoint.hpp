@@ -2,10 +2,10 @@
 //
 // Both packed searches advance through well-defined serial boundaries — the
 // FTF Dial queue settles one fault-distance bucket at a time, the PIF DP one
-// timestep layer at a time — and the deterministic chunked expansion makes
-// the solver state at such a boundary a pure function of (instance, options,
-// boundary index).  A checkpoint is therefore a full snapshot at a boundary:
-// the interner contents, the per-id search arrays, and the live frontier.
+// timestep layer at a time — and the solver state at such a boundary is a
+// pure function of (instance, options, boundary index).  A checkpoint is
+// therefore a full snapshot at a boundary: the interner contents, the per-id
+// search arrays, and the live frontier.
 // Resuming replays nothing; it rebuilds the structures and continues from
 // the next boundary, producing results bit-equal to an uninterrupted solve.
 //

@@ -37,12 +37,8 @@ struct FtfOptions {
   /// distances are dense); kReference is the retained binary-heap Dijkstra
   /// over OfflineState nodes.  Both compute the same optimum.
   OfflineEngine engine = OfflineEngine::kPacked;
-  /// Worker cap for the packed engine's bucket-synchronous parallel
-  /// expansion (0 = all pool workers, 1 = the serial reference path).
-  /// Results are bit-identical at any worker count: each settled bucket is
-  /// expanded as chunked waves whose emissions are recorded in serial sink
-  /// order and merged in chunk order regardless of which worker ran them
-  /// (see the determinism note in ftf_solver.cpp).
+  /// No effect: the packed engine expands serially.  Kept only because the
+  /// perfbench offline workload still sets it.
   std::size_t workers = 0;
   /// Interner pre-sizing hint: expected distinct states of the solve
   /// (0 = a small default).  Right-sizing it eliminates the early
@@ -50,8 +46,7 @@ struct FtfOptions {
   std::size_t expected_states = 0;
   /// Spill budget for the interner arena (packed engine).  Active budgets
   /// make the state store file-backed — "instance too big" becomes
-  /// "instance takes longer" — and force the serial expansion path (the
-  /// spill layer's residency accounting is not concurrency-safe).
+  /// "instance takes longer".
   StorageBudget storage;
   /// Bucket-boundary checkpointing (packed engine); resume produces results
   /// bit-equal to an uninterrupted solve.
@@ -89,12 +84,8 @@ struct FtfResult {
   std::size_t arena_bytes = 0;
   std::size_t peak_bytes_in_ram = 0;
   std::size_t bytes_spilled = 0;
-  /// Parallel-expansion work decomposition (packed engine, chunked path):
-  /// wall ns spent inside the parallel expansion passes and the summed
-  /// per-chunk CLOCK_THREAD_CPUTIME_ID ns.  BENCH_OFFLINE's
-  /// capacity_states_per_sec projects the solve rate at W workers as
-  /// states / (serial_ns + expand_busy_ns / W) — the oversubscription-
-  /// immune convention capacity_rps established for mcpd.
+  /// Always 0: the packed engine has no parallel expansion.  Kept only
+  /// because the perfbench offline workload still reads them.
   std::uint64_t expand_wall_ns = 0;
   std::uint64_t expand_busy_ns = 0;
   /// True when the solve continued from FtfOptions::checkpoint.

@@ -58,9 +58,7 @@ class StateInterner {
   /// An active `budget` makes the arena file-backed (see SpillArena).
   explicit StateInterner(std::size_t stride, StorageBudget budget = {});
 
-  /// Hash of a `stride`-word block — the function intern() uses.  Static so
-  /// parallel expansion workers can pre-hash emissions against a frozen
-  /// interner without touching it.
+  /// Hash of a `stride`-word block — the function intern() uses.
   [[nodiscard]] static std::uint64_t hash_words(const std::uint64_t* words,
                                                 std::size_t stride) noexcept {
     std::uint64_t h = 0x12345678abcdef01ULL;
@@ -76,8 +74,8 @@ class StateInterner {
     return intern_hashed(words, hash_words(words, stride_));
   }
 
-  /// intern() with a caller-supplied hash_words() result — the merge phase
-  /// of parallel expansion re-uses the hash its worker already computed.
+  /// intern() with a caller-supplied hash_words() result — checkpoint
+  /// resume re-interns each block with its stored hash.
   std::pair<std::uint32_t, bool> intern_hashed(const std::uint64_t* words,
                                                std::uint64_t hash) {
     // Resize before probing so the insert below always finds a free slot.
@@ -93,42 +91,6 @@ class StateInterner {
       slot = (slot + 1) & mask;
     }
     return insert_new(words, hash, slot);
-  }
-
-  /// intern_hashed() for a block the caller has proven absent — the merge
-  /// phase of parallel expansion calls this for emissions the sharded dedup
-  /// pass resolved as first occurrences (absent from the frozen table and
-  /// not preceded by an equal emission in the wave).  Probes only for a
-  /// free slot: no equality checks against occupants, so the expensive part
-  /// of interning (hash + word compares) stays on the workers.  The checked
-  /// build re-verifies absence.
-  std::uint32_t insert_absent_hashed(const std::uint64_t* words,
-                                     std::uint64_t hash) {
-    MCP_CHECKED_ONLY(MCP_ASSERT_MSG(find(words, hash) == kNoState,
-                                    "insert_absent_hashed: block present"));
-    if (static_cast<std::size_t>(count_) * 10 >= table_.size() * 7) {
-      grow_table();
-    }
-    const std::size_t mask = table_.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(hash) & mask;
-    while (table_[slot] != kNoState) slot = (slot + 1) & mask;
-    return insert_new(words, hash, slot).first;
-  }
-
-  /// Read-only probe: the id of `words` if already interned, else kNoState.
-  /// Never mutates the interner, so concurrent find() calls against a frozen
-  /// interner are safe when the arena is not spilling (see SpillArena).
-  [[nodiscard]] std::uint32_t find(const std::uint64_t* words,
-                                   std::uint64_t hash) const noexcept {
-    const std::size_t mask = table_.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(hash) & mask;
-    while (table_[slot] != kNoState) {
-      if (hashes_[table_[slot]] == hash && block_equal(table_[slot], words)) {
-        return table_[slot];
-      }
-      slot = (slot + 1) & mask;
-    }
-    return kNoState;
   }
 
   /// The interned block of `id` — stable across interns; under a budget,

@@ -12,7 +12,6 @@
 #include "core/error.hpp"
 #include "core/sentry.hpp"
 #include "core/simulator.hpp"
-#include "core/thread_pool.hpp"
 #include "offline/packed_space.hpp"
 #include "offline/packed_state.hpp"
 #include "offline/pareto_front.hpp"
@@ -177,24 +176,13 @@ PifResult solve_pif_reference(const PifInstance& instance,
 }
 
 // ---------------------------------------------------------------------------
-// Packed engine: layered DP over interned packed states, expanded
-// layer-parallel on mcp::ThreadPool.
-//
-// Determinism contract (bit-identical results at any worker count): each
-// layer's states — sorted ascending by interned id — are partitioned into
-// fixed-size chunks by index; every chunk records its (successor, advanced
-// fault vector, provenance) emissions in the exact order the serial loop
-// would produce them; chunks are then merged into the next layer's Pareto
-// fronts serially, in chunk-index order.  Worker scheduling only decides
-// *when* a chunk's buffer is filled, never what it contains or when it is
-// merged.  Pareto front contents are insertion-order independent anyway
-// (the front is the set of minimal vectors seen), so the merge yields the
-// same fronts the reference engine computes.
+// Packed engine: layered DP over interned packed states.  Each layer's
+// states are sorted ascending by interned id, so the expansion order, the
+// terminal scan and the witness choice are canonical.  Pareto front contents
+// are insertion-order independent anyway (the front is the set of minimal
+// vectors seen), so the layers match the fronts the reference engine
+// computes.
 // ---------------------------------------------------------------------------
-
-/// States per expansion chunk.  Fixed — it shapes the deterministic merge
-/// order, so it must not depend on the worker count.
-constexpr std::size_t kChunkStates = 4;
 
 // ParetoProv / PackedFront / pareto_insert_packed / validate_front live in
 // offline/pareto_front.hpp (extracted so test_sentry.cpp can corrupt and
@@ -210,36 +198,6 @@ struct PackedLayer {
     std::size_t w = 0;
     for (const PackedFront& f : fronts) w += f.size();
     return w;
-  }
-};
-
-/// Emissions of one expansion chunk, grouped per outcome (the successor is
-/// interned once per outcome at merge time), in deterministic serial order.
-/// Only outcomes with at least one bound-surviving entry are recorded.
-struct ChunkEmits {
-  // Per surviving outcome.
-  std::vector<std::uint64_t> words;          ///< stride words each
-  std::vector<std::uint32_t> out_state;      ///< source state index
-  std::vector<std::uint32_t> out_count;      ///< surviving emissions
-  std::vector<std::uint32_t> out_evict_off;  ///< span into evicts
-  std::vector<std::uint32_t> out_evict_len;
-  std::vector<PageId> evicts;
-  // Per emission, concatenated across outcomes.
-  std::vector<std::uint32_t> faults;         ///< p per emission
-  std::vector<std::uint32_t> src_entry;
-  /// Advanced-fault-vector scratch (p words), persistent across layers so
-  /// the expansion loop stays allocation-free — excluded from clear().
-  std::vector<std::uint32_t> adv;
-
-  void clear() {
-    words.clear();
-    out_state.clear();
-    out_count.clear();
-    out_evict_off.clear();
-    out_evict_len.clear();
-    evicts.clear();
-    faults.clear();
-    src_entry.clear();
   }
 };
 
@@ -322,8 +280,8 @@ std::vector<PageId> reconstruct_logged(const RecordLog& past,
 }
 
 /// Fingerprint binding a checkpoint to (instance, trajectory-affecting
-/// options); workers/storage/sentry knobs are excluded — they do not change
-/// any solve result.
+/// options); storage/sentry knobs are excluded — they do not change any
+/// solve result.
 std::uint64_t pif_fingerprint(const PifInstance& instance,
                               const PifOptions& options) {
   std::uint64_t h = checkpoint::fingerprint(instance);
@@ -365,7 +323,6 @@ PifResult solve_pif_packed(const PifInstance& instance,
   const std::size_t p = system.num_cores();
   const std::size_t stride = system.state_words();
   const bool schedule = options.build_schedule;
-  const bool spill = options.storage.active();
 
   StateInterner interner(stride, options.storage);
   interner.reserve(options.expected_states != 0 ? options.expected_states
@@ -504,15 +461,13 @@ PifResult solve_pif_packed(const PifInstance& instance,
     }
   }
 
-  // Interned id -> state index in the layer being merged, stamped per layer
+  // Interned id -> state index in the layer being built, stamped per layer
   // so the map never needs clearing (ids are dense).
   std::vector<std::uint32_t> id_stamp;
   std::vector<std::uint32_t> id_index;
   std::uint32_t stamp = 0;
 
-  std::vector<ChunkEmits> chunks;
-  std::vector<PackedTransitionSystem::StepScratch> scratches;
-  PackedTransitionSystem::StepScratch serial_scratch;
+  PackedTransitionSystem::StepScratch scratch;
   std::vector<std::uint32_t> advanced(p);
 
   // Retired fronts and layer shells, recycled so the steady-state loop stops
@@ -525,8 +480,8 @@ PifResult solve_pif_packed(const PifInstance& instance,
   std::uint32_t checkpoints_written = 0;
   for (Time t = start_t; t < instance.deadline; ++t) {
     // Early success: a finished state's fault vector is frozen, and every
-    // vector still alive satisfies the bounds by construction.  Scanning in
-    // ascending id order makes the witness choice worker-count independent.
+    // vector still alive satisfies the bounds by construction.  The scan runs
+    // in ascending id order, so the witness is the lowest-id terminal state.
     for (std::size_t s = 0; s < layer.ids.size(); ++s) {
       if (system.is_terminal(interner.state(layer.ids[s])) &&
           layer.fronts[s].size() > 0) {
@@ -541,13 +496,9 @@ PifResult solve_pif_packed(const PifInstance& instance,
       }
     }
 
-    // Expansion: fixed-size chunks of the (id-sorted) state list.  Both
-    // paths below walk (state, outcome, surviving entry) in the same order
-    // and intern each successor on its first surviving emission, so they
-    // build identical layers; the parallel path merely buffers per chunk.
+    // Expansion walks (state, outcome, surviving entry) in id order and
+    // interns each successor on its first surviving emission.
     const std::size_t num_states = layer.ids.size();
-    const std::size_t num_chunks =
-        (num_states + kChunkStates - 1) / kChunkStates;
     PackedLayer next = std::move(spare_layer);
     next.ids.clear();
     next.evict_pool.clear();
@@ -560,201 +511,88 @@ PifResult solve_pif_packed(const PifInstance& instance,
     ++stamp;
 
     // Allocation sentry (PifOptions::alloc_guard_after_layer): past the
-    // declared warm-up, the merging thread runs the rest of the layer
-    // guarded, and each expansion chunk arms its own guard (guards are
-    // per-thread).  Every amortized growth point below carries a scoped
-    // AllocAllow naming what it grows; anything else that allocates throws.
-    const bool guard_layer = options.alloc_guard_after_layer != 0 &&
-                             t >= options.alloc_guard_after_layer;
+    // declared warm-up, the rest of the layer runs guarded.  Every amortized
+    // growth point below carries a scoped AllocAllow naming what it grows;
+    // anything else that allocates throws.
     std::optional<AllocGuard> layer_guard;
-    if (guard_layer) layer_guard.emplace("pif layer loop");
+    if (options.alloc_guard_after_layer != 0 &&
+        t >= options.alloc_guard_after_layer) {
+      layer_guard.emplace("pif layer loop");
+    }
 
-    const auto insert_emission = [&](std::uint32_t nid,
-                                     const std::uint32_t* fv,
-                                     std::uint32_t src_state,
-                                     std::uint32_t src_entry,
-                                     const PageId* evictions,
-                                     std::uint32_t num_evictions) {
-      if (nid >= id_stamp.size()) {
-        // Headroom so the maps don't resize on every freshly interned id.
-        AllocAllow allow;  // declared growth: id-map headroom
-        id_stamp.resize(interner.size() + 256, 0);
-        id_index.resize(interner.size() + 256, 0);
-      }
-      std::uint32_t idx;
-      if (id_stamp[nid] != stamp) {
-        // Declared growth: layer id/front tables (recycled across layers;
-        // they grow only when a layer widens past every layer before it).
-        AllocAllow allow;
-        id_stamp[nid] = stamp;
-        idx = static_cast<std::uint32_t>(next.ids.size());
-        id_index[nid] = idx;
-        next.ids.push_back(nid);
-        if (spare_fronts.empty()) {
-          next.fronts.emplace_back();
-        } else {
-          next.fronts.push_back(std::move(spare_fronts.back()));
-          spare_fronts.pop_back();
-          next.fronts.back().faults.clear();
-          next.fronts.back().prov.clear();
-        }
-      } else {
-        idx = id_index[nid];
-      }
-      ParetoProv prov;
-      prov.parent_state = src_state;
-      prov.parent_entry = src_entry;
-      if (schedule) {
-        prov.evict_off = static_cast<std::uint32_t>(next.evict_pool.size());
-        prov.evict_len = num_evictions;
-      }
-      if (pareto_insert_packed(next.fronts[idx], p, fv, prov) && schedule &&
-          num_evictions > 0) {
-        AllocAllow allow;  // declared growth: schedule-mode eviction pool
-        next.evict_pool.insert(next.evict_pool.end(), evictions,
-                               evictions + num_evictions);
-      }
-    };
-
-    // Pool dispatch pays off only with real workers and more than one chunk.
-    // An active StorageBudget forces the serial path: workers would race the
-    // spill layer's residency bookkeeping (see SpillArena's thread-safety
-    // note), and out-of-core solves are disk-bound anyway.
-    const bool parallel = options.workers != 1 && num_chunks > 1 && !spill &&
-                          ThreadPool::global().num_workers() > 1;
-    if (!parallel) {
-      for (std::size_t s = 0; s < num_states; ++s) {
-        const PackedFront& front = layer.fronts[s];
-        system.expand(interner.state(layer.ids[s]), serial_scratch,
-                      [&](const PackedOutcome& outcome) {
-          std::uint32_t nid = StateInterner::kNoState;
-          for (std::size_t v = 0; v < front.size(); ++v) {
-            std::copy_n(front.entry(p, v), p, advanced.begin());
-            bool alive = true;
-            for (std::size_t j = 0; j < p; ++j) {
-              if ((outcome.faulted_cores >> j) & 1u) {
-                if (++advanced[j] > instance.bounds[j]) {
-                  alive = false;
-                  break;
-                }
+    for (std::size_t s = 0; s < num_states; ++s) {
+      const PackedFront& front = layer.fronts[s];
+      system.expand(interner.state(layer.ids[s]), scratch,
+                    [&](const PackedOutcome& outcome) {
+        std::uint32_t nid = StateInterner::kNoState;
+        std::uint32_t idx = 0;
+        for (std::size_t v = 0; v < front.size(); ++v) {
+          std::copy_n(front.entry(p, v), p, advanced.begin());
+          bool alive = true;
+          for (std::size_t j = 0; j < p; ++j) {
+            if ((outcome.faulted_cores >> j) & 1u) {
+              if (++advanced[j] > instance.bounds[j]) {
+                alive = false;
+                break;
               }
             }
-            if (!alive) continue;
-            if (nid == StateInterner::kNoState) {
-              nid = interner.intern(outcome.next).first;
-            }
-            insert_emission(
-                nid, advanced.data(), static_cast<std::uint32_t>(s),
-                static_cast<std::uint32_t>(v), outcome.evictions.data(),
-                static_cast<std::uint32_t>(outcome.evictions.size()));
           }
-        });
-      }
-    } else {
-      {
-        // Declared growth: per-chunk buffers appear as layers widen.
-        AllocAllow allow;
-        chunks.resize(num_chunks);
-        scratches.resize(num_chunks);
-      }
-      const auto expand_chunk = [&](std::size_t c) {
-        ChunkEmits& out = chunks[c];
-        out.clear();
-        PackedTransitionSystem::StepScratch& scratch = scratches[c];
-        {
-          // Declared growth: first-use warm-up — a chunk index first used on
-          // a later (wider) layer starts with cold scratch buffers.
-          AllocAllow allow;
-          out.adv.resize(p);
-          scratch.work.reserve(stride);
-          scratch.locked.reserve(stride);
-          scratch.evictions.reserve(p);
-        }
-        std::optional<AllocGuard> chunk_guard;
-        if (guard_layer) chunk_guard.emplace("pif expansion chunk");
-        std::vector<std::uint32_t>& adv = out.adv;
-        const std::size_t begin = c * kChunkStates;
-        const std::size_t end = std::min(num_states, begin + kChunkStates);
-        for (std::size_t s = begin; s < end; ++s) {
-          const PackedFront& front = layer.fronts[s];
-          system.expand(interner.state(layer.ids[s]), scratch,
-                        [&](const PackedOutcome& outcome) {
-            std::uint32_t count = 0;
-            for (std::size_t v = 0; v < front.size(); ++v) {
-              std::copy_n(front.entry(p, v), p, adv.begin());
-              bool alive = true;
-              for (std::size_t j = 0; j < p; ++j) {
-                if ((outcome.faulted_cores >> j) & 1u) {
-                  if (++adv[j] > instance.bounds[j]) {
-                    alive = false;
-                    break;
-                  }
-                }
-              }
-              if (!alive) continue;
-              {
-                // Declared growth: chunk emission buffers (recycled; grow
-                // only while the layer widens past the chunk's past peaks).
-                AllocAllow allow;
-                out.faults.insert(out.faults.end(), adv.begin(), adv.end());
-                out.src_entry.push_back(static_cast<std::uint32_t>(v));
-              }
-              ++count;
+          if (!alive) continue;
+          if (nid == StateInterner::kNoState) {
+            nid = interner.intern(outcome.next).first;
+            if (nid >= id_stamp.size()) {
+              // Headroom so the maps don't resize on every freshly interned
+              // id.
+              AllocAllow allow;  // declared growth: id-map headroom
+              id_stamp.resize(interner.size() + 256, 0);
+              id_index.resize(interner.size() + 256, 0);
             }
-            if (count == 0) return;
-            AllocAllow allow;  // declared growth: chunk emission buffers
-            out.words.insert(out.words.end(), outcome.next,
-                             outcome.next + stride);
-            out.out_state.push_back(static_cast<std::uint32_t>(s));
-            out.out_count.push_back(count);
-            if (schedule) {
-              out.out_evict_off.push_back(
-                  static_cast<std::uint32_t>(out.evicts.size()));
-              out.out_evict_len.push_back(
-                  static_cast<std::uint32_t>(outcome.evictions.size()));
-              out.evicts.insert(out.evicts.end(), outcome.evictions.begin(),
-                                outcome.evictions.end());
+            if (id_stamp[nid] != stamp) {
+              // Declared growth: layer id/front tables (recycled across
+              // layers; they grow only when a layer widens past every layer
+              // before it).
+              AllocAllow allow;
+              id_stamp[nid] = stamp;
+              id_index[nid] = static_cast<std::uint32_t>(next.ids.size());
+              next.ids.push_back(nid);
+              if (spare_fronts.empty()) {
+                next.fronts.emplace_back();
+              } else {
+                next.fronts.push_back(std::move(spare_fronts.back()));
+                spare_fronts.pop_back();
+                next.fronts.back().faults.clear();
+                next.fronts.back().prov.clear();
+              }
             }
-          });
-        }
-      };
-      {
-        // Declared growth: pool dispatch packages the chunk tasks on the
-        // heap.  (Guards are per-thread, so this thread's Allow does not
-        // suspend the workers' chunk guards — only chunks this thread runs
-        // inline, which keep worker-side enforcement meaningful at >= 2
-        // workers.)
-        AllocAllow allow;
-        ThreadPool::global().run_indexed(num_chunks, expand_chunk,
-                                         options.workers);
-      }
-
-      // Merge serially, in chunk order — the exact order the serial path
-      // above would use.
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        const ChunkEmits& out = chunks[c];
-        std::size_t cursor = 0;
-        for (std::size_t o = 0; o < out.out_state.size(); ++o) {
-          const std::uint32_t nid =
-              interner.intern(out.words.data() + o * stride).first;
-          const std::uint32_t ev_len = schedule ? out.out_evict_len[o] : 0;
-          const PageId* ev =
-              ev_len > 0 ? out.evicts.data() + out.out_evict_off[o] : nullptr;
-          for (std::uint32_t e = 0; e < out.out_count[o]; ++e, ++cursor) {
-            insert_emission(nid, out.faults.data() + cursor * p,
-                            out.out_state[o], out.src_entry[cursor], ev,
-                            ev_len);
+            idx = id_index[nid];
+          }
+          ParetoProv prov;
+          prov.parent_state = static_cast<std::uint32_t>(s);
+          prov.parent_entry = static_cast<std::uint32_t>(v);
+          if (schedule) {
+            prov.evict_off =
+                static_cast<std::uint32_t>(next.evict_pool.size());
+            prov.evict_len =
+                static_cast<std::uint32_t>(outcome.evictions.size());
+          }
+          if (pareto_insert_packed(next.fronts[idx], p, advanced.data(),
+                                   prov) &&
+              schedule && !outcome.evictions.empty()) {
+            AllocAllow allow;  // declared growth: schedule-mode eviction pool
+            next.evict_pool.insert(next.evict_pool.end(),
+                                   outcome.evictions.begin(),
+                                   outcome.evictions.end());
           }
         }
-      }
+      });
     }
     result.states_expanded += num_states;
 
-    // Sort the merged layer by id so the next round's chunking, terminal
-    // scan, and witness choice are canonical.  `sort_buf` ping-pongs with
-    // `next`'s buffers across layers, so the rebuild allocates nothing in
-    // steady state (and is skipped entirely when the merge order happens to
-    // be id-sorted already).
+    // Sort the new layer by id so the next round's expansion order,
+    // terminal scan, and witness choice are canonical.  `sort_buf`
+    // ping-pongs with `next`'s buffers across layers, so the rebuild
+    // allocates nothing in steady state (and is skipped entirely when the
+    // insertion order happens to be id-sorted already).
     if (!std::is_sorted(next.ids.begin(), next.ids.end())) {
       AllocAllow allow;  // declared growth: recycled order/sort buffers
       order.resize(next.ids.size());
@@ -795,7 +633,7 @@ PifResult solve_pif_packed(const PifInstance& instance,
       layer = std::move(next);
     }
 
-    // Checked builds: every merged front is strictly sorted, duplicate-free
+    // Checked builds: every new front is strictly sorted, duplicate-free
     // and Pareto-minimal, and the interner stays structurally sound as the
     // layer's successors were interned into it.
     MCP_CHECKED_ONLY({

@@ -39,34 +39,26 @@ struct PifOptions {
   /// proportional to deadline x layer width).
   bool build_schedule = false;
   /// Search implementation.  kPacked runs the layered DP over interned
-  /// bitset states with layer expansion fanned out on mcp::ThreadPool;
-  /// kReference is the retained serial unordered_map implementation.
+  /// bitset states; kReference is the retained unordered_map
+  /// implementation.
   OfflineEngine engine = OfflineEngine::kPacked;
-  /// Worker cap for the packed engine's layer-parallel expansion (0 = all
-  /// pool workers).  Results are bit-identical at any worker count: states
-  /// are partitioned into fixed-size chunks by layer index, each chunk's
-  /// emissions are produced in serial order, and chunks merge in index
-  /// order regardless of which worker ran them.
-  std::size_t workers = 0;
   /// Interner pre-sizing hint: expected distinct states of the solve
   /// (0 = a small default).  Right-sizing it eliminates the early
   /// arena/table doubling churn inside guarded hot loops.
   std::size_t expected_states = 0;
   /// Spill budget (packed engine): makes the interner arena file-backed and
   /// moves finished schedule-mode layer history into a spill file, so the
-  /// DP can exceed RAM.  Active budgets force the serial expansion path
-  /// (the spill layer's residency accounting is not concurrency-safe).
+  /// DP can exceed RAM.
   StorageBudget storage;
   /// Layer-boundary checkpointing (packed engine); resume produces results
   /// bit-equal to an uninterrupted solve.
   CheckpointOptions checkpoint;
   /// Allocation sentry (DESIGN.md §10, packed engine only): arm an
-  /// AllocGuard over every DP layer with index >= this value (0 = disabled),
-  /// on the merging thread and inside each expansion chunk.  Enforces the §9
-  /// steady-state claim: past warm-up, a layer allocates only at the
-  /// declared amortized growth points (interner arena/table, layer/front
-  /// recycling pools, chunk emission buffers, pool dispatch) — anything
-  /// else, e.g. a reintroduced per-emission temporary, throws ModelError.
+  /// AllocGuard over every DP layer with index >= this value (0 = disabled).
+  /// Enforces the §9 steady-state claim: past warm-up, a layer allocates
+  /// only at the declared amortized growth points (interner arena/table,
+  /// layer/front recycling pools) — anything else, e.g. a reintroduced
+  /// per-emission temporary, throws ModelError.
   Time alloc_guard_after_layer = 0;
 };
 

@@ -278,27 +278,16 @@ TEST(AllocSentry, PifPackedSteadyStateLayersAreAllocationFree) {
   inst.bounds = {100, 100};  // generous: the DP runs the full deadline
 
   PifOptions plain;
-  plain.workers = 1;
   const PifResult expected = solve_pif(inst, plain);
   ASSERT_GT(expected.states_expanded, 0u);
 
-  // Serial engine, guarded past layer 4 (warm-up: scratch buffers, first
-  // recycled fronts).
-  PifOptions serial = plain;
-  serial.alloc_guard_after_layer = 4;
-  const PifResult serial_result = solve_pif(inst, serial);
-  EXPECT_EQ(serial_result.feasible, expected.feasible);
-  EXPECT_EQ(serial_result.states_expanded, expected.states_expanded);
-  EXPECT_EQ(serial_result.peak_layer_width, expected.peak_layer_width);
-
-  // Layer-parallel engine: every worker chunk arms its own guard.
-  PifOptions parallel = plain;
-  parallel.workers = 0;  // all pool workers
-  parallel.alloc_guard_after_layer = 4;
-  const PifResult parallel_result = solve_pif(inst, parallel);
-  EXPECT_EQ(parallel_result.feasible, expected.feasible);
-  EXPECT_EQ(parallel_result.states_expanded, expected.states_expanded);
-  EXPECT_EQ(parallel_result.peak_layer_width, expected.peak_layer_width);
+  // Guarded past layer 4 (warm-up: scratch buffers, first recycled fronts).
+  PifOptions guarded;
+  guarded.alloc_guard_after_layer = 4;
+  const PifResult result = solve_pif(inst, guarded);
+  EXPECT_EQ(result.feasible, expected.feasible);
+  EXPECT_EQ(result.states_expanded, expected.states_expanded);
+  EXPECT_EQ(result.peak_layer_width, expected.peak_layer_width);
 }
 
 TEST(AllocSentry, BatchEngineStepLoopIsAllocationFree) {
