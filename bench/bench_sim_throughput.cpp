@@ -179,7 +179,8 @@ void BM_BigFleetThroughput(benchmark::State& state) {
 void BM_LruFaultCurve(benchmark::State& state) {
   // Per-core LRU fault-curve construction, the kernel behind partition
   // search (sP^OPT_LRU): p full curves f_j(k) for k = 0..K.  cells/sec is
-  // the perf-smoke gate for the fault-curve path.
+  // the perf-smoke gate for the fault-curve path.  Over 96 pages, K = 16
+  // runs the move-to-front scan and K = 64 (the gated arg) the Fenwick scan.
   const std::size_t K = static_cast<std::size_t>(state.range(0));
   const RequestSet rs = zipf_workload(4, 96, 20000, 12);
   const PolicyFactory lru = make_policy_factory("lru");
@@ -331,7 +332,7 @@ BENCHMARK_CAPTURE(BM_PifSolver, packed, mcp::OfflineEngine::kPacked)
 BENCHMARK_CAPTURE(BM_PifSolver, reference, mcp::OfflineEngine::kReference)
     ->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_BigFleetThroughput);
-BENCHMARK(BM_LruFaultCurve)->Arg(64);
+BENCHMARK(BM_LruFaultCurve)->Arg(16)->Arg(64);
 // Arg = sweep worker cap: serial, two workers, all hardware workers (0).
 BENCHMARK(BM_PartitionSweep)->Arg(1)->Arg(2)->Arg(0);
 // Arg = batch width B: degenerate single-lane batches vs full lockstep.

@@ -176,13 +176,19 @@ void SpillArena::fault_in(const Segment& seg) const {
 void SpillArena::evict(const Segment& seg) const {
   // MS_SYNC guarantees the data extent is durably in the file before the
   // pages are dropped; MADV_DONTNEED releases the RAM without disturbing
-  // the mapping.
-  if (::msync(seg.map, seg.map_bytes, MS_SYNC) != 0) throw_errno("msync");
+  // the mapping.  Blocks are immutable once appended, so a segment behind
+  // the append target never changes after its first write-back: a clean
+  // segment skips the msync.
+  if (!seg.clean) {
+    if (::msync(seg.map, seg.map_bytes, MS_SYNC) != 0) throw_errno("msync");
+    bytes_spilled_ += segment_data_bytes_;
+    const auto index = static_cast<std::size_t>(&seg - segments_.data());
+    seg.clean = index < (num_blocks_ >> log2_blocks_);
+  }
   if (::madvise(seg.map, seg.map_bytes, MADV_DONTNEED) != 0)
     throw_errno("madvise");
   seg.resident = false;
   resident_bytes_ -= segment_data_bytes_;
-  bytes_spilled_ += segment_data_bytes_;
 }
 
 void SpillArena::enforce_budget(const Segment* keep) const {
@@ -208,6 +214,8 @@ void SpillArena::validate() const {
     const Segment& seg = segments_[i];
     MCP_ASSERT_MSG(seg.data != nullptr, "segment has no storage");
     if (seg.resident) resident += segment_data_bytes_;
+    MCP_ASSERT_MSG(!seg.clean || i < (num_blocks_ >> log2_blocks_),
+                   "clean segment at or past the append target");
     if (!spilling_) {
       MCP_ASSERT_MSG(seg.resident, "heap segment marked non-resident");
       continue;

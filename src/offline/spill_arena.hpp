@@ -102,7 +102,8 @@ class SpillArena {
   [[nodiscard]] std::size_t peak_bytes_in_ram() const noexcept {
     return peak_resident_bytes_;
   }
-  /// Cumulative bytes written back to the spill file by evictions.
+  /// Cumulative bytes written back to the spill file by evictions.  A full
+  /// segment is written back once; later evictions of it only drop RAM.
   [[nodiscard]] std::size_t bytes_spilled() const noexcept {
     return bytes_spilled_;
   }
@@ -124,6 +125,10 @@ class SpillArena {
     void* map = nullptr;                  ///< mmap base (header page) or null
     std::size_t map_bytes = 0;
     mutable bool resident = true;
+    /// The spill file holds the segment's final contents: it is full (behind
+    /// the append target) and was written back once, so evicting it again
+    /// writes nothing.
+    mutable bool clean = false;
     mutable std::uint64_t last_touch = 0;
   };
 

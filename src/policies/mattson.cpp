@@ -1,9 +1,7 @@
 #include "policies/mattson.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/sentry.hpp"
 
@@ -37,20 +35,24 @@ class PositionTree {
   std::size_t n_;
 };
 
+PageId max_page_of(const RequestSequence& seq) {
+  PageId max_page = 0;
+  for (const PageId page : seq) max_page = std::max(max_page, page);
+  return max_page;
+}
+
 // Single pass over `seq`, calling on_cold() for first accesses and
 // on_reuse(d) with the stack distance d >= 1 for repeats.  O(n log n).
 template <typename OnCold, typename OnReuse>
-void scan_stack_distances(const RequestSequence& seq, OnCold on_cold,
-                          OnReuse on_reuse) {
+void scan_stack_distances(const RequestSequence& seq, PageId max_page,
+                          OnCold on_cold, OnReuse on_reuse) {
   const std::size_t n = seq.size();
   PositionTree marks(n);
-  // Presize the page->position map from the sequence's max page id: one O(n)
-  // pass up front, and the scan below never grows it — which lets the
-  // allocation sentry hold the kernel to the §8 allocation-free claim.
-  // The callbacks inherit the guard: both callers append into
-  // exactly-reserved storage or bump counters.
-  PageId max_page = 0;
-  for (const PageId page : seq) max_page = std::max(max_page, page);
+  // The page->position map is presized from the sequence's max page id, so
+  // the scan below never grows it — which lets the allocation sentry hold
+  // the kernel to the §8 allocation-free claim.  The callbacks inherit the
+  // guard: both callers append into exactly-reserved storage or bump
+  // counters.
   std::vector<std::size_t> last_pos(n == 0 ? 1 : std::size_t{max_page} + 1,
                                     0);  // page -> 1-based position, 0 = unseen
   AllocGuard guard("mattson stack-distance scan");
@@ -70,128 +72,64 @@ void scan_stack_distances(const RequestSequence& seq, OnCold on_cold,
   }
 }
 
-/// Lanes per pool task in lru_fault_curve_batch: enough to amortize lane
-/// setup, few enough that large-p sets still spread across workers.
-constexpr std::size_t kMattsonChunkLanes = 8;
-
-/// The batched scan for cores [first, first + count): all lanes' Fenwick
-/// trees, last-position maps and histograms live in three shared arrays
-/// with per-lane base offsets, and one outer loop over the position index
-/// advances every still-active lane — the SoA shape of BatchEngine applied
-/// to Mattson's algorithm.  Writes only curves[first .. first+count).
-void lru_fault_curve_batch_chunk(const RequestSet& requests, std::size_t first,
-                                 std::size_t count, std::size_t max_k,
-                                 std::vector<std::vector<Count>>& curves) {
-  struct Lane {
-    const PageId* seq = nullptr;
-    std::size_t n = 0;
-    std::size_t tree_base = 0;  ///< Fenwick over positions (n + 1 entries)
-    std::size_t pos_base = 0;   ///< page -> 1-based last position, 0 = unseen
-    std::size_t hist_base = 0;  ///< stack-distance histogram (max_k + 2)
-    Count cold = 0;
-  };
-  std::vector<Lane> lanes(count);
-  std::size_t tree_total = 0;
-  std::size_t pos_total = 0;
-  std::size_t max_n = 0;
-  for (std::size_t a = 0; a < count; ++a) {
-    const RequestSequence& seq =
-        requests.sequence(static_cast<CoreId>(first + a));
-    Lane& lane = lanes[a];
-    lane.seq = seq.pages().data();
-    lane.n = seq.size();
-    PageId max_page = 0;
-    for (const PageId page : seq) max_page = std::max(max_page, page);
-    lane.tree_base = tree_total;
-    lane.pos_base = pos_total;
-    lane.hist_base = a * (max_k + 2);
-    tree_total += lane.n + 1;
-    pos_total += lane.n == 0 ? 1 : std::size_t{max_page} + 1;
-    max_n = std::max(max_n, lane.n);
-  }
-  std::vector<std::uint32_t> tree(tree_total, 0);
-  std::vector<std::size_t> last_pos(pos_total, 0);
-  std::vector<Count> hist(count * (max_k + 2), 0);
-  // Longest lanes first: the active prefix shrinks as the position index
-  // runs past the shorter sequences (the ragged tail).
-  std::vector<std::size_t> order(count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&lanes](std::size_t a, std::size_t b) {
-                     return lanes[a].n > lanes[b].n;
-                   });
-
-  const auto mark = [&tree](Lane& lane, std::size_t pos) {
-    for (; pos <= lane.n; pos += pos & (~pos + 1)) ++tree[lane.tree_base + pos];
-  };
-  const auto unmark = [&tree](Lane& lane, std::size_t pos) {
-    for (; pos <= lane.n; pos += pos & (~pos + 1)) --tree[lane.tree_base + pos];
-  };
-  const auto prefix = [&tree](const Lane& lane, std::size_t pos) {
-    std::size_t sum = 0;
-    for (; pos > 0; pos -= pos & (~pos + 1)) sum += tree[lane.tree_base + pos];
-    return sum;
-  };
-
-  {
-    AllocGuard guard("batched mattson scan");
-    std::size_t active = count;
-    for (std::size_t i = 1; i <= max_n; ++i) {
-      while (active > 0 && lanes[order[active - 1]].n < i) --active;
-      for (std::size_t a = 0; a < active; ++a) {
-        Lane& lane = lanes[order[a]];
-        const PageId page = lane.seq[i - 1];
-        std::size_t& last = last_pos[lane.pos_base + page];
-        if (last == 0) {
-          ++lane.cold;
-        } else {
-          const std::size_t d = prefix(lane, i - 1) - prefix(lane, last) + 1;
-          ++hist[lane.hist_base + std::min(d, max_k + 1)];
-          unmark(lane, last);
-        }
-        mark(lane, i);
-        last = i;
-      }
+/// Move-to-front scan: keeps the `depth` most recently used pages, most
+/// recent first.  A request found at index i has stack distance i + 1 and
+/// bumps hist[i + 1]; a request not found is cold or deeper than `depth`,
+/// and no histogram bucket below depth + 1 counts it.  O(n * depth).
+void scan_move_to_front(const RequestSequence& seq, std::size_t depth,
+                        std::vector<Count>& hist) {
+  std::vector<PageId> stack(depth);
+  std::size_t size = 0;
+  AllocGuard guard("mattson move-to-front scan");
+  for (const PageId page : seq) {
+    // Shift the stack down one slot until `page` turns up, carrying each
+    // displaced entry; `page` ends at the top either way.
+    PageId carry = page;
+    std::size_t i = 0;
+    for (; i < size; ++i) {
+      std::swap(stack[i], carry);
+      if (carry == page) break;
     }
-  }
-
-  // Suffix-sum each lane's histogram into its curve, exactly as the scalar
-  // kernel does.
-  for (std::size_t a = 0; a < count; ++a) {
-    const Lane& lane = lanes[a];
-    std::vector<Count>& curve = curves[first + a];
-    curve.assign(max_k + 1, 0);
-    Count beyond = 0;
-    for (std::size_t k = max_k + 1; k-- > 0;) {
-      beyond += hist[lane.hist_base + k + 1];
-      curve[k] = lane.cold + beyond;
+    if (i < size) {
+      ++hist[i + 1];
+    } else if (size < depth) {
+      stack[size++] = carry;
     }
-    MCP_ASSERT(curve[0] == lane.n);
   }
 }
+
+/// Lanes per pool task in lru_fault_curve_batch: enough to amortize the
+/// dispatch, few enough that large-p sets still spread across workers.
+constexpr std::size_t kMattsonChunkLanes = 8;
 
 }  // namespace
 
 std::vector<Count> lru_fault_curve(const RequestSequence& seq,
                                    std::size_t max_k) {
-  const std::size_t n = seq.size();
-  // hist[d] = reuses at stack distance d, distances beyond max_k bucketed
-  // at max_k + 1 (they miss at every tracked capacity).
+  // hist[d] = reuses at stack distance d; distances beyond max_k are
+  // bucketed at max_k + 1 (they miss at every tracked capacity).
   std::vector<Count> hist(max_k + 2, 0);
-  Count cold = 0;
-  scan_stack_distances(
-      seq, [&cold] { ++cold; },
-      [&hist, max_k](std::size_t d) { ++hist[std::min(d, max_k + 1)]; });
-
-  // f(k) = cold misses + reuses with distance > k; suffix-sum the histogram.
-  std::vector<Count> curve(max_k + 1, 0);
-  Count beyond = 0;
-  for (std::size_t k = max_k + 1; k-- > 0;) {
-    beyond += hist[k + 1];
-    curve[k] = cold + beyond;
+  const PageId max_page = max_page_of(seq);
+  // No reuse is deeper than the number of distinct pages, at most
+  // max_page + 1, and every depth past max_k lands in the same bucket.
+  const std::size_t depth =
+      std::min(max_k + 1, seq.empty() ? 0 : std::size_t{max_page} + 1);
+  if (depth <= kMoveToFrontMaxDepth) {
+    scan_move_to_front(seq, depth, hist);
+  } else {
+    scan_stack_distances(
+        seq, max_page, [] {},
+        [&hist, max_k](std::size_t d) { ++hist[std::min(d, max_k + 1)]; });
   }
-  // k = 0 limit: every request misses (cold + every reuse).
-  MCP_ASSERT(curve[0] == n);
+
+  // f(k) = requests that are not reuses at distance <= k: every request
+  // misses at k = 0, and each step up in k turns hist[k] misses into hits.
+  std::vector<Count> curve(max_k + 1, 0);
+  Count misses = seq.size();
+  for (std::size_t k = 0; k <= max_k; ++k) {
+    misses -= hist[k];
+    curve[k] = misses;
+  }
   return curve;
 }
 
@@ -204,8 +142,11 @@ std::vector<std::vector<Count>> lru_fault_curve_batch(
       (p + kMattsonChunkLanes - 1) / kMattsonChunkLanes;
   parallel_for(chunks, [&](std::size_t c) {
     const std::size_t first = c * kMattsonChunkLanes;
-    const std::size_t count = std::min(kMattsonChunkLanes, p - first);
-    lru_fault_curve_batch_chunk(requests, first, count, max_k, curves);
+    const std::size_t last = std::min(p, first + kMattsonChunkLanes);
+    for (std::size_t j = first; j < last; ++j) {
+      curves[j] = lru_fault_curve(requests.sequence(static_cast<CoreId>(j)),
+                                  max_k);
+    }
   });
   return curves;
 }
@@ -214,7 +155,7 @@ std::vector<std::size_t> stack_distances(const RequestSequence& seq) {
   std::vector<std::size_t> out;
   out.reserve(seq.size());
   scan_stack_distances(
-      seq, [&out] { out.push_back(0); },
+      seq, max_page_of(seq), [&out] { out.push_back(0); },
       [&out](std::size_t d) { out.push_back(d); });
   return out;
 }

@@ -188,10 +188,14 @@ class Session final : public RequestSource {
  public:
   /// `cohort == nullptr` selects the scalar path.  A batched session holds
   /// no strategy object and no SimSession — the cohort engine is the
-  /// simulator.
+  /// simulator.  `curve_passes` is the shard's counter of stack-distance
+  /// passes (ShardStats::curve_passes); it outlives the session.
   Session(std::uint64_t id, const wire::SessionParams& params,
-          CohortGroup* cohort)
-      : id_(id), params_(params), trace_(params.num_cores) {
+          CohortGroup* cohort, std::uint64_t& curve_passes)
+      : id_(id),
+        params_(params),
+        trace_(params.num_cores),
+        curve_passes_(&curve_passes) {
     if (cohort == nullptr) {
       cursor_.assign(params.num_cores, 0);
       strategy_ = make_strategy(params);
@@ -385,13 +389,34 @@ class Session final : public RequestSource {
   };
 
   /// Marks the session finished (stats_ must already be final) and answers
-  /// every parked query.
+  /// every parked query.  One stack-distance pass at the deepest capacity
+  /// any parked query needs serves them all: curve[k] does not depend on
+  /// max_k for k <= max_k, so each query reads a prefix of the shared
+  /// curves.  The curves are dropped on return — sessions are never
+  /// erased, so keeping them would grow the shard's memory.
   void finish() {
     finished_ = true;
     const std::vector<ParkedQuery> parked = std::exchange(parked_, {});
+    std::optional<std::size_t> depth;
+    for (const ParkedQuery& query : parked) {
+      if (const std::optional<std::size_t> k =
+              curve_depth(query.type, query.query)) {
+        depth = std::max(depth.value_or(0), *k);
+      }
+    }
+    std::optional<FaultCurves> shared;
+    if (depth) {
+      try {
+        shared = fault_curves(*depth);
+      } catch (const std::exception&) {
+        // Leave `shared` empty: each query then runs its own pass, and a
+        // failure there becomes its kError reply.
+      }
+    }
     for (const ParkedQuery& query : parked) {
       try {
-        answer(query.type, query.query, query.reply_to);
+        answer(query.type, query.query, query.reply_to,
+               shared ? &*shared : nullptr);
       } catch (const std::exception&) {
         // answer() turns its own failures into kError replies; landing here
         // means even that failed (e.g. allocation).  Drop this reply and
@@ -429,13 +454,36 @@ class Session final : public RequestSource {
     mailbox->deliver(std::move(writer).take());
   }
 
+  /// Deepest fault-curve entry a query reads, or nullopt if it reads none.
+  [[nodiscard]] std::optional<std::size_t> curve_depth(
+      wire::FrameType type, const wire::QueryView& query) const {
+    switch (type) {
+      case wire::FrameType::kQueryFaultCurve:
+        return query.max_k;
+      case wire::FrameType::kQueryPartition:
+        return params_.cache_size;
+      default:
+        return std::nullopt;
+    }
+  }
+
+  /// Per-core LRU fault curves f_j(0..max_k) of the whole trace: one
+  /// stack-distance pass, counted in ShardStats::curve_passes.
+  [[nodiscard]] FaultCurves fault_curves(std::size_t max_k) {
+    ++*curve_passes_;
+    return lru_fault_curve_batch(trace_, max_k);
+  }
+
+  /// `shared`, when set, holds curves at least as deep as the query needs
+  /// (see finish()); otherwise the query runs its own pass.
   void answer(wire::FrameType type, const wire::QueryView& query,
-              const std::weak_ptr<ResponseMailbox>& reply_to) {
+              const std::weak_ptr<ResponseMailbox>& reply_to,
+              const FaultCurves* shared = nullptr) {
     const std::shared_ptr<ResponseMailbox> mailbox = reply_to.lock();
     if (!mailbox) return;  // client gone; the reply has no reader
     wire::WireWriter writer;
     try {
-      build_answer(writer, type, query);
+      build_answer(writer, type, query, shared);
     } catch (const std::exception& e) {
       wire::WireWriter error;
       wire::ErrorReply reply;
@@ -448,8 +496,22 @@ class Session final : public RequestSource {
     mailbox->deliver(std::move(writer).take());
   }
 
+  /// The first max_k + 1 entries of each curve in `shared`, or a fresh
+  /// pass when there is no shared one.
+  [[nodiscard]] FaultCurves curves_to(std::size_t max_k,
+                                      const FaultCurves* shared) {
+    if (shared == nullptr) return fault_curves(max_k);
+    FaultCurves curves;
+    curves.reserve(shared->size());
+    for (const std::vector<Count>& curve : *shared) {
+      const auto end = curve.begin() + static_cast<std::ptrdiff_t>(max_k) + 1;
+      curves.emplace_back(curve.begin(), end);
+    }
+    return curves;
+  }
+
   void build_answer(wire::WireWriter& writer, wire::FrameType type,
-                    const wire::QueryView& query) {
+                    const wire::QueryView& query, const FaultCurves* shared) {
     switch (type) {
       case wire::FrameType::kQueryFaults: {
         wire::FaultCountsReply reply;
@@ -470,15 +532,14 @@ class Session final : public RequestSource {
         wire::FaultCurveReply reply;
         reply.query_id = query.query_id;
         reply.max_k = query.max_k;
-        reply.curves = lru_fault_curve_batch(trace_, query.max_k);
+        reply.curves = curves_to(query.max_k, shared);
         writer.fault_curve(id_, reply);
         break;
       }
       case wire::FrameType::kQueryPartition: {
         // query_rejected() screens infeasible partitions at enqueue time;
         // this is unreachable for accepted queries.
-        const FaultCurves curves =
-            lru_fault_curve_batch(trace_, params_.cache_size);
+        const FaultCurves curves = curves_to(params_.cache_size, shared);
         const PartitionSearchResult best =
             optimal_partition_from_curves(curves, params_.cache_size);
         wire::PartitionAdviceReply reply;
@@ -509,6 +570,7 @@ class Session final : public RequestSource {
   std::uint32_t lane_ = 0;           ///< Valid until finish_batched().
   RunStats stats_;  ///< Valid once finished_.
   std::vector<ParkedQuery> parked_;
+  std::uint64_t* curve_passes_;      ///< The shard's counter.
   bool closed_ = false;
   bool dirty_ = false;
   bool finished_ = false;
@@ -660,8 +722,8 @@ class Shard {
         // Construct before inserting: a throwing Session constructor (e.g.
         // an infeasible strategy/cache combination) must not leave a null
         // map entry behind for later frames to dereference.
-        auto session =
-            std::make_unique<Session>(frame.session, params, cohort);
+        auto session = std::make_unique<Session>(frame.session, params, cohort,
+                                                 stats_.curve_passes);
         sessions_.emplace(frame.session, std::move(session));
         ++stats_.sessions_opened;
         ++(cohort != nullptr ? stats_.batched_sessions
@@ -842,6 +904,7 @@ ShardStats Mcpd::total_stats() const {
     total.batched_sessions += s.batched_sessions;
     total.scalar_sessions += s.scalar_sessions;
     total.lane_steps += s.lane_steps;
+    total.curve_passes += s.curve_passes;
     total.bad_frames += s.bad_frames;
     total.busy_ns += s.busy_ns;
     total.epoch_latency.merge(s.epoch_latency);

@@ -116,6 +116,10 @@ struct ShardStats {
   std::uint64_t batched_sessions = 0;  ///< Opened onto a cohort lane.
   std::uint64_t scalar_sessions = 0;   ///< Opened onto a scalar SimSession.
   std::uint64_t lane_steps = 0;        ///< Cohort lockstep iterations run.
+  /// Stack-distance passes run for curve and partition queries: one per
+  /// finished session that had such queries parked, plus one per such
+  /// query sent after its session finished.
+  std::uint64_t curve_passes = 0;
   std::uint64_t bad_frames = 0;     ///< Malformed/out-of-protocol, dropped.
   std::uint64_t busy_ns = 0;        ///< CLOCK_THREAD_CPUTIME_ID spent in epochs.
   LatencyHistogram epoch_latency;   ///< Wall ns per epoch (drain->publish).

@@ -330,6 +330,99 @@ TEST(Mcpd, PartitionAdviceMatchesOfflineSearch) {
   }
 }
 
+/// Parks curve queries below, at and above K plus a partition query on one
+/// session, and only a fault-count query on another; then asks for a
+/// deeper curve after the first session finished.  Every reply must equal
+/// an independent library computation, and the parked queries must share
+/// one stack-distance pass.
+void expect_parked_queries_share_one_pass(bool enable_batching) {
+  SCOPED_TRACE(enable_batching ? "batched" : "scalar");
+  Rng rng(0xB0B);
+  Tenant tenant;
+  tenant.session = 11;
+  tenant.trace = testing::random_disjoint_workload(rng, 3, 14, 240);
+  tenant.params = SessionParams{3, 8, 2, StrategyKind::kSharedLru};
+  const std::uint64_t counts_only = 12;
+
+  McpdConfig config;
+  config.num_shards = 1;
+  config.enable_batching = enable_batching;
+  Mcpd daemon(config);
+  McpdClient client(daemon);
+  client.open(tenant.session, tenant.params);
+  client.open(counts_only, tenant.params);
+  const std::vector<std::uint32_t> parked_k = {5, 8, 13};  // <, =, > K
+  for (std::size_t q = 0; q < parked_k.size(); ++q) {
+    client.post_query_fault_curve(tenant.session, 100 + q, parked_k[q]);
+  }
+  client.post_query_partition(tenant.session, 200);
+  client.post_query_faults(counts_only, 300);
+  for (CoreId core = 0; core < 3; ++core) {
+    const std::span<const PageId> pages = tenant.trace.sequence(core).pages();
+    client.send_core_pages(tenant.session, core, pages);
+    client.send_core_pages(counts_only, core, pages);
+  }
+  client.close(tenant.session);
+  client.close(counts_only);
+
+  std::vector<std::byte> storage;
+  std::size_t curve_replies = 0;
+  bool partition_seen = false;
+  bool counts_seen = false;
+  for (int reply_count = 0; reply_count < 5; ++reply_count) {
+    const wire::FrameView frame = client.wait_reply(storage);
+    if (frame.type == wire::FrameType::kFaultCurve) {
+      const wire::FaultCurveReply reply = wire::decode_fault_curve(frame);
+      ASSERT_GE(reply.query_id, 100u);
+      ASSERT_LT(reply.query_id, 100u + parked_k.size());
+      const std::uint32_t max_k = parked_k[reply.query_id - 100];
+      EXPECT_EQ(reply.max_k, max_k);
+      EXPECT_EQ(reply.curves, lru_fault_curve_batch(tenant.trace, max_k))
+          << "max_k " << max_k;
+      ++curve_replies;
+    } else if (frame.type == wire::FrameType::kPartitionAdvice) {
+      const wire::PartitionAdviceReply reply =
+          wire::decode_partition_advice(frame);
+      const PartitionSearchResult want = optimal_partition_from_curves(
+          lru_fault_curve_batch(tenant.trace, 8), 8);
+      EXPECT_EQ(reply.query_id, 200u);
+      EXPECT_EQ(reply.predicted_faults, want.faults);
+      ASSERT_EQ(reply.cells_per_core.size(), want.partition.size());
+      for (std::size_t j = 0; j < want.partition.size(); ++j) {
+        EXPECT_EQ(reply.cells_per_core[j], want.partition[j]);
+      }
+      partition_seen = true;
+    } else {
+      ASSERT_EQ(frame.type, wire::FrameType::kFaultCounts);
+      EXPECT_EQ(wire::decode_fault_counts(frame).query_id, 300u);
+      counts_seen = true;
+    }
+  }
+  EXPECT_EQ(curve_replies, parked_k.size());
+  EXPECT_TRUE(partition_seen);
+  EXPECT_TRUE(counts_seen);
+
+  // After the finish the shared curves are gone: a deeper query runs its
+  // own pass.
+  const wire::FaultCurveReply late =
+      client.query_fault_curve(tenant.session, 400, 21);
+  EXPECT_EQ(late.curves, lru_fault_curve_batch(tenant.trace, 21));
+
+  daemon.stop();
+  const ShardStats total = daemon.total_stats();
+  EXPECT_EQ(total.sessions_finished, 2u);
+  EXPECT_EQ(total.batched_sessions, enable_batching ? 2u : 0u);
+  // One shared pass for the session with parked curve and partition
+  // queries, none for the counts-only session, one for the late query.
+  EXPECT_EQ(total.curve_passes, 2u);
+  EXPECT_EQ(total.bad_frames, 0u);
+}
+
+TEST(Mcpd, ParkedCurveAndPartitionQueriesShareOnePass) {
+  expect_parked_queries_share_one_pass(/*enable_batching=*/true);
+  expect_parked_queries_share_one_pass(/*enable_batching=*/false);
+}
+
 TEST(Mcpd, QueryBeforeCloseIsParkedUntilFinish) {
   Rng rng(0x5555);
   Tenant tenant;

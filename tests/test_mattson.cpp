@@ -2,6 +2,8 @@
 // (policies/mattson.hpp): every curve cell must equal the per-k
 // single-core LRU run it replaces, on random, skewed and adversarial
 // sequences, including capacities at and beyond the distinct-page count.
+// Both scans are covered: the move-to-front path must also equal the
+// Fenwick path cell for cell on either side of the depth cut-over.
 #include "policies/mattson.hpp"
 
 #include <gtest/gtest.h>
@@ -37,6 +39,42 @@ void expect_matches_per_k(const RequestSequence& seq, std::size_t max_k,
 
 std::size_t distinct_pages(const RequestSequence& seq) {
   return std::unordered_set<PageId>(seq.begin(), seq.end()).size();
+}
+
+/// The Fenwick scan's curve: stack_distances() always runs the Fenwick
+/// path, and a reuse at distance d hits at every capacity k >= d.
+std::vector<Count> fenwick_curve(const RequestSequence& seq,
+                                 std::size_t max_k) {
+  std::vector<Count> curve(max_k + 1, seq.size());
+  for (const std::size_t d : stack_distances(seq)) {
+    if (d == 0) continue;
+    for (std::size_t k = d; k <= max_k; ++k) --curve[k];
+  }
+  return curve;
+}
+
+/// The scan lru_fault_curve picks for (seq, max_k): D <= the cap runs
+/// move-to-front.
+std::size_t scan_depth(const RequestSequence& seq, std::size_t max_k) {
+  if (seq.empty()) return 0;
+  const PageId max_page = *std::max_element(seq.begin(), seq.end());
+  return std::min(max_k + 1, std::size_t{max_page} + 1);
+}
+
+/// lru_fault_curve equals both the Fenwick path and the per-k oracle.
+void expect_paths_agree(const RequestSequence& seq, std::size_t max_k,
+                        const std::string& label) {
+  EXPECT_EQ(lru_fault_curve(seq, max_k), fenwick_curve(seq, max_k)) << label;
+  expect_matches_per_k(seq, max_k, label);
+}
+
+RequestSequence uniform_sequence(Rng& rng, std::size_t universe,
+                                 std::size_t length) {
+  RequestSequence seq;
+  for (std::size_t i = 0; i < length; ++i) {
+    seq.push_back(static_cast<PageId>(rng.below(universe)));
+  }
+  return seq;
 }
 
 TEST(MattsonKernel, TinySequencesByHand) {
@@ -139,11 +177,120 @@ TEST(MattsonKernel, PolicyFaultCurvesFastPathEqualsReferenceSweep) {
   EXPECT_EQ(via_curves.faults, via_sim.faults);
 }
 
+TEST(MattsonKernel, DepthAroundTheMoveToFrontCap) {
+  // D = max_k + 1 just below, at and just above the cap, on a lane whose
+  // page bound is far deeper: reuse distances straddle the cut-over.
+  Rng rng(0x64CA);
+  const RequestSequence seq = uniform_sequence(rng, 90, 700);
+  for (const std::size_t depth :
+       {kMoveToFrontMaxDepth - 1, kMoveToFrontMaxDepth,
+        kMoveToFrontMaxDepth + 1}) {
+    const std::size_t max_k = depth - 1;
+    ASSERT_EQ(scan_depth(seq, max_k), depth);
+    expect_paths_agree(seq, max_k, "D=" + std::to_string(depth));
+  }
+  // The same three depths set by the page bound instead, with a max_k far
+  // above it.
+  for (const std::size_t depth :
+       {kMoveToFrontMaxDepth - 1, kMoveToFrontMaxDepth,
+        kMoveToFrontMaxDepth + 1}) {
+    const RequestSequence bounded = uniform_sequence(rng, depth, 700);
+    ASSERT_EQ(scan_depth(bounded, 100), depth);
+    expect_paths_agree(bounded, 100,
+                       "page-bound D=" + std::to_string(depth));
+  }
+}
+
+TEST(MattsonKernel, DepthAroundTheDistinctPageCount) {
+  // D just below, at and above the lane's distinct-page count U.  Below U
+  // the move-to-front stack drops pages that are later reused, which must
+  // count as misses at every tracked capacity.  Run on both sides of the
+  // cap.
+  for (const std::size_t universe :
+       {std::size_t{20}, kMoveToFrontMaxDepth + 30}) {
+    Rng rng(universe);
+    RequestSequence seq = uniform_sequence(rng, universe, 600);
+    for (PageId page = 0; page < universe; ++page) seq.push_back(page);
+    ASSERT_EQ(distinct_pages(seq), universe);
+    for (const std::size_t depth : {universe - 1, universe, universe + 1}) {
+      const std::size_t max_k = depth - 1;
+      expect_paths_agree(seq, max_k,
+                         "U=" + std::to_string(universe) +
+                             " D=" + std::to_string(depth));
+    }
+  }
+}
+
+TEST(MattsonKernel, ZeroCapacityAndEmptyLanes) {
+  const RequestSequence seq = {3, 1, 3, 3, 2};
+  EXPECT_EQ(lru_fault_curve(seq, 0), (std::vector<Count>{5}));
+  EXPECT_EQ(lru_fault_curve({}, 0), (std::vector<Count>{0}));
+  EXPECT_EQ(lru_fault_curve({}, 100), std::vector<Count>(101, 0));
+  RequestSet rs;
+  rs.add_sequence({});
+  rs.add_sequence(seq);
+  rs.add_sequence({});
+  for (const std::size_t max_k : {std::size_t{0}, std::size_t{4},
+                                  kMoveToFrontMaxDepth + 8}) {
+    const FaultCurves curves = lru_fault_curve_batch(rs, max_k);
+    ASSERT_EQ(curves.size(), 3u);
+    EXPECT_EQ(curves[0], std::vector<Count>(max_k + 1, 0));
+    EXPECT_EQ(curves[1], fenwick_curve(seq, max_k));
+    EXPECT_EQ(curves[2], std::vector<Count>(max_k + 1, 0));
+  }
+}
+
+TEST(MattsonKernel, SparseLaneWithOneLargePageId) {
+  // One page id near 2^20 among small ones: the page bound no longer caps
+  // D, so a small max_k runs move-to-front and a large one the Fenwick scan
+  // with its page-indexed position map.
+  Rng rng(0x5BA);
+  constexpr PageId kLarge = (PageId{1} << 20) - 3;
+  RequestSequence seq;
+  for (std::size_t i = 0; i < 300; ++i) {
+    seq.push_back(i % 100 == 7 ? kLarge
+                               : static_cast<PageId>(rng.below(12)));
+  }
+  ASSERT_LE(scan_depth(seq, 8), kMoveToFrontMaxDepth);
+  ASSERT_GT(scan_depth(seq, 80), kMoveToFrontMaxDepth);
+  expect_paths_agree(seq, 8, "shallow");
+  expect_paths_agree(seq, 80, "deep");
+}
+
+TEST(MattsonKernel, BatchedCurvesSpanSeveralChunks) {
+  // 8 cores per chunk: p = 9 and 17 run two and three chunks on the
+  // caller's thread, p = 33 spreads five over the pool.  Lanes mix
+  // lengths and page bounds on both sides of the cap.
+  const PolicyFactory lru = make_policy_factory("lru");
+  for (const std::size_t p : {std::size_t{9}, std::size_t{17},
+                              std::size_t{33}}) {
+    Rng rng(0xC0 + p);
+    RequestSet rs;
+    for (std::size_t j = 0; j < p; ++j) {
+      const std::size_t universe = j % 3 == 0 ? 4 + rng.below(20)
+                                              : 60 + rng.below(60);
+      rs.add_sequence(uniform_sequence(rng, universe, rng.below(200)));
+    }
+    for (const std::size_t max_k : {std::size_t{12}, std::size_t{90}}) {
+      const FaultCurves curves = lru_fault_curve_batch(rs, max_k);
+      ASSERT_EQ(curves.size(), p);
+      for (CoreId j = 0; j < p; ++j) {
+        const RequestSequence& seq = rs.sequence(j);
+        EXPECT_EQ(curves[j], fenwick_curve(seq, max_k))
+            << "p=" << p << " core=" << j << " max_k=" << max_k;
+        for (const std::size_t k : {std::size_t{0}, max_k / 2, max_k}) {
+          EXPECT_EQ(curves[j][k], single_core_policy_faults(seq, k, lru))
+              << "p=" << p << " core=" << j << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(MattsonKernel, BatchedCurvesMatchPerKOracle) {
-  // lru_fault_curve_batch advances all cores' Mattson passes as lanes over
-  // shared offset arrays; every lane's curve must equal both the scalar
-  // kernel and the per-k oracle it stands in for.  Ragged lane lengths
-  // (including an empty sequence) exercise the active-prefix shrink.
+  // lru_fault_curve_batch runs the scalar kernel once per core; every
+  // core's curve must equal both the scalar kernel and the per-k oracle it
+  // stands in for.  Ragged lengths include an empty sequence.
   Rng rng(0x3A77);
   RequestSet rs;
   rs.add_sequence({});

@@ -96,6 +96,31 @@ TEST(SpillArena, BudgetModeEvictsAndReloads) {
   arena.validate();
 }
 
+TEST(SpillArena, FullSegmentIsWrittenBackOnce) {
+  constexpr std::size_t kSegmentBytes = 256;  // tight_budget(): 8 blocks
+  SpillArena arena(4, tight_budget());
+  for (std::uint64_t v = 0; v < 24; ++v) {  // three full segments
+    const std::uint64_t words[4] = {v, v + 1, v + 2, v * v};
+    arena.append(words);
+  }
+  // Opening the third segment evicted the first: one write-back so far.
+  EXPECT_EQ(arena.bytes_spilled(), kSegmentBytes);
+  // Round-robin over the three segments with two resident: every touch
+  // reloads a segment and evicts another, so each segment is evicted and
+  // reloaded at least twice.  Full segments never change, so only the
+  // first eviction of each writes anything.
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t seg = 0; seg < 3; ++seg) {
+      const std::uint64_t v = seg * 8 + 5;
+      const std::uint64_t* block = arena.block(static_cast<std::uint32_t>(v));
+      EXPECT_EQ(block[0], v);
+      EXPECT_EQ(block[3], v * v);
+    }
+  }
+  EXPECT_EQ(arena.bytes_spilled(), 3 * kSegmentBytes);
+  arena.validate();
+}
+
 TEST(SpillArena, BudgetBelowTwoSegmentsIsRejected) {
   StorageBudget budget;
   budget.segment_bytes = 4096;

@@ -238,17 +238,26 @@ TEST(AllocSentry, SimulatorFaultSteadyStateIsAllocationFree) {
 }
 
 TEST(AllocSentry, MattsonKernelIsAllocationFree) {
-  // lru_fault_curve's stack-distance scan arms its own internal guard —
-  // completing without a throw is the assertion.
+  // Both of lru_fault_curve's scans arm their own internal guard —
+  // completing without a throw is the assertion.  Pages span 256 ids, so
+  // the stack depth D = min(max_k + 1, 256) is set by max_k: kShallowK runs
+  // the move-to-front scan, kDeepK the Fenwick scan.
   Rng rng(1234);
   RequestSequence seq;
   for (int i = 0; i < 4000; ++i) {
-    seq.push_back(static_cast<PageId>(rng.below(64)));
+    seq.push_back(static_cast<PageId>(rng.below(256)));
   }
-  const std::vector<Count> curve = lru_fault_curve(seq, 32);
-  ASSERT_EQ(curve.size(), 33u);
-  EXPECT_EQ(curve[0], seq.size());
-  EXPECT_TRUE(std::is_sorted(curve.rbegin(), curve.rend()));
+  constexpr std::size_t kShallowK = 32;
+  constexpr std::size_t kDeepK = 128;
+  static_assert(kShallowK + 1 <= kMoveToFrontMaxDepth);
+  static_assert(kDeepK + 1 > kMoveToFrontMaxDepth);
+  const std::vector<Count> shallow = lru_fault_curve(seq, kShallowK);
+  const std::vector<Count> deep = lru_fault_curve(seq, kDeepK);
+  ASSERT_EQ(shallow.size(), kShallowK + 1);
+  ASSERT_EQ(deep.size(), kDeepK + 1);
+  EXPECT_EQ(shallow[0], seq.size());
+  EXPECT_TRUE(std::is_sorted(deep.rbegin(), deep.rend()));
+  EXPECT_TRUE(std::equal(shallow.begin(), shallow.end(), deep.begin()));
 }
 
 TEST(AllocSentry, FtfPackedExpansionKernelIsAllocationFree) {
