@@ -73,6 +73,13 @@ struct DecompositionCase {
   Time tau;
 };
 
+// Without this, gtest (and the ctest names gtest_discover_tests builds from
+// its listing) renders a case as a byte dump that holds the std::string's
+// heap address, so the case names change from run to run.
+void PrintTo(const DecompositionCase& c, std::ostream* os) {
+  *os << c.policy << "_tau" << c.tau;
+}
+
 class PartitionDecomposition
     : public ::testing::TestWithParam<DecompositionCase> {};
 
